@@ -36,6 +36,12 @@ cargo test --release -p sww-genai --test steady_state_alloc -q
 echo "==> cargo test --test golden_tables (paper-table regression snapshots)"
 cargo test --test golden_tables -q
 
+echo "==> cargo test --test genai_pixels (generated pixels == pre-optimisation golden digests)"
+cargo test --test genai_pixels -q
+
+echo "==> cargo test --manifest-path perfbench/Cargo.toml (measured benchmark self-tests)"
+cargo test --manifest-path perfbench/Cargo.toml -q
+
 # Perf gate: run the E17 tiled-kernel sweeps, emit the machine-readable
 # report, and compare it against the checked-in baseline. The gate reads
 # the *modelled* throughput columns (deterministic cost model — see
@@ -114,7 +120,7 @@ echo "==> bench-workload --chaos (E20 workload gate)"
 
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
-TEST_FLOOR=885
+TEST_FLOOR=894
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -55,7 +55,9 @@ pub struct GenerationCost {
 }
 
 /// The media generator: a preloaded pipeline bound to a device profile.
-#[derive(Debug)]
+/// Cloning shares the loaded pipeline's model state (see
+/// [`sww_genai::TextModel`]), so one load can serve many threads.
+#[derive(Debug, Clone)]
 pub struct MediaGenerator {
     pipeline: GenerationPipeline,
     device: DeviceProfile,

@@ -24,9 +24,10 @@
 //!   instead of queueing without bound. With `workers(0)` (the default)
 //!   requests run inline on the calling thread, preserving the original
 //!   single-threaded behaviour exactly.
-//! * Each OS thread that generates keeps its own preloaded
-//!   [`MediaGenerator`] (the §4.1 preload optimisation, per worker), so
-//!   generations for distinct recipes proceed in parallel.
+//! * The generation pipeline is loaded once per process (the §4.1
+//!   preload optimisation) and each OS thread that generates keeps its
+//!   own clone of that [`MediaGenerator`], so generations for distinct
+//!   recipes proceed in parallel and a fresh thread never reloads.
 //! * With `batch_max(n)` (n > 1), cache-missing generations additionally
 //!   flow through a [`BatchScheduler`]: compatible concurrent recipes
 //!   share one multi-latent denoising pass, bit-identical per image to
@@ -54,7 +55,7 @@ use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 use sww_energy::cost as gen_cost;
 use sww_energy::device::{profile as device_profile, DeviceKind};
@@ -198,6 +199,9 @@ struct ServerShared {
     /// Requests currently inside `dispatch` (admission through response).
     /// `drain` waits for this to reach zero.
     inflight: AtomicUsize,
+    /// Signalled, under `idle_lock`, when `inflight` drops to zero.
+    idle: Condvar,
+    idle_lock: StdMutex<()>,
 }
 
 /// RAII in-flight counter: held for the full life of one `dispatch`
@@ -216,22 +220,37 @@ impl<'a> InflightGuard<'a> {
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        if self.shared.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Taking the lock orders this wake after a drainer's check.
+            let _idle = self
+                .shared
+                .idle_lock
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            self.shared.idle.notify_all();
+        }
     }
 }
 
+/// The server's generator, loaded on first use and then shared by every
+/// server in the process (paper §4.1: the pipeline is "a large object"
+/// reused across invocations).
+fn loaded_generator() -> &'static MediaGenerator {
+    static LOADED: OnceLock<MediaGenerator> = OnceLock::new();
+    LOADED.get_or_init(|| MediaGenerator::new(device_profile(DeviceKind::Workstation)))
+}
+
 thread_local! {
-    /// Per-thread preloaded generator (paper §4.1: the pipeline is "a
-    /// large object" reused across invocations). One per OS thread means
-    /// pool workers generate in parallel without sharing a lock.
+    /// Per-thread clone of [`loaded_generator`]: pool workers generate in
+    /// parallel without sharing a lock, and a fresh thread (h3 runs one
+    /// per request) pays a cheap clone instead of a model load.
     static SERVER_GENERATOR: RefCell<Option<MediaGenerator>> = const { RefCell::new(None) };
 }
 
 fn with_generator<R>(f: impl FnOnce(&mut MediaGenerator) -> R) -> R {
     SERVER_GENERATOR.with(|cell| {
         let mut slot = cell.borrow_mut();
-        let generator = slot
-            .get_or_insert_with(|| MediaGenerator::new(device_profile(DeviceKind::Workstation)));
+        let generator = slot.get_or_insert_with(|| loaded_generator().clone());
         f(generator)
     })
 }
@@ -480,6 +499,8 @@ impl GenerativeServer {
                 fault_scope: Arc::new(FaultScope::new("server")),
                 draining: AtomicBool::new(false),
                 inflight: AtomicUsize::new(0),
+                idle: Condvar::new(),
+                idle_lock: StdMutex::new(()),
             }),
         }
     }
@@ -709,11 +730,21 @@ impl GenerativeServer {
         let inflight_at_start = self.shared.inflight.load(Ordering::SeqCst);
         sww_obs::gauge("sww_drain_state", &[]).set(1.0);
         sww_obs::gauge("sww_drain_inflight_at_start", &[]).set(inflight_at_start as f64);
-        // In-flight requests finish on their own threads; short-poll
-        // rather than wiring a condvar through every dispatch exit.
+        // In-flight requests finish on their own threads; the last
+        // `InflightGuard` to drop wakes us.
+        let mut idle = self
+            .shared
+            .idle_lock
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         while self.shared.inflight.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(1));
+            idle = self
+                .shared
+                .idle
+                .wait(idle)
+                .unwrap_or_else(|e| e.into_inner());
         }
+        drop(idle);
         let waited = started.elapsed();
         sww_obs::gauge("sww_drain_state", &[]).set(2.0);
         sww_obs::gauge("sww_drain_duration_seconds", &[]).set(waited.as_secs_f64());
@@ -1553,6 +1584,32 @@ mod tests {
         let resp = handle.join().unwrap();
         assert_eq!(resp.status, 200, "in-flight response must not be lost");
         assert!(report.inflight_at_start >= 1);
+    }
+
+    #[test]
+    fn drain_returns_once_the_last_inflight_request_answers() {
+        let server = demo_server();
+        let guard = InflightGuard::enter(&server.shared);
+        let drainer = server.clone();
+        let handle = std::thread::spawn(move || {
+            let report = drainer.drain();
+            (report, Instant::now())
+        });
+        while !server.is_draining() {
+            std::hint::spin_loop();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            !handle.is_finished(),
+            "drain returned with a request in flight"
+        );
+        let answered = Instant::now();
+        drop(guard);
+        let (report, returned) = handle.join().unwrap();
+        assert_eq!(report.inflight_at_start, 1);
+        assert!(report.waited >= Duration::from_millis(20));
+        let lag = returned.duration_since(answered);
+        assert!(lag < Duration::from_millis(100), "drain woke {lag:?} late");
     }
 
     #[test]

@@ -349,10 +349,11 @@ impl DiffusionModel {
         let seed = prompt_seed
             .rotate_left(17)
             .wrapping_add(self.profile.seed_salt);
+        let field = noise::FbmTable::new(seed, 3, 3.0);
         for (i, v) in out.iter_mut().enumerate() {
             let x = (i % GRID) as f64 / GRID as f64;
             let y = (i / GRID) as f64 / GRID as f64;
-            *v = noise::fbm(seed, x * 3.0, y * 3.0, 3) * 3.5;
+            *v = field.fbm(x * 3.0, y * 3.0) * 3.5;
         }
         out
     }
@@ -379,12 +380,13 @@ impl DiffusionModel {
         for g in noise.iter_mut() {
             *g = rng.gaussian();
         }
+        let texture = texture_noise(features);
         for y in 0..height {
             let v = f64::from(y) / f64::from(height.max(1));
             let row = y as usize * width as usize;
             for x in 0..width {
                 let u = f64::from(x) / f64::from(width.max(1));
-                let base = self.aesthetic_color(features, u, v);
+                let base = aesthetic_color(features, &texture, u, v);
                 let s = sample_grid(latent, u, v) * SEMANTIC_AMPLITUDE;
                 let n = noise[row + x as usize] * residual;
                 let px = [
@@ -396,33 +398,6 @@ impl DiffusionModel {
             }
         }
         img
-    }
-
-    fn aesthetic_color(&self, features: &PromptFeatures, u: f64, v: f64) -> [f64; 3] {
-        let palette = &features.palette;
-        let pick = |t: f64| -> [f64; 3] {
-            let t = t.clamp(0.0, 0.999);
-            let idx = (t * palette.len() as f64) as usize;
-            let c = palette[idx.min(palette.len() - 1)];
-            [f64::from(c[0]), f64::from(c[1]), f64::from(c[2])]
-        };
-        match features.texture {
-            // Horizon bands: palette sweeps top to bottom.
-            TextureClass::Banded => {
-                let band = v + 0.08 * noise::fbm(features.seed, u * 4.0, v * 4.0, 2);
-                pick(band)
-            }
-            // Soft blobs.
-            TextureClass::Organic => {
-                let b = 0.5 + 0.5 * noise::fbm(features.seed, u * 3.0, v * 3.0, 3);
-                pick(b)
-            }
-            // Hard-edged cells.
-            TextureClass::Geometric => {
-                let cell = noise::fbm(features.seed, (u * 5.0).floor(), (v * 5.0).floor(), 1);
-                pick(0.5 + 0.5 * cell)
-            }
-        }
     }
 
     /// Extract the image's embedding in the shared prompt/image feature
@@ -441,6 +416,51 @@ impl DiffusionModel {
             .map(|l| (l - mean) / SEMANTIC_AMPLITUDE)
             .collect();
         field::project(&dev)
+    }
+}
+
+/// A texture class's value-noise field, tabulated once per image: the
+/// octaves and coordinate extent [`aesthetic_color`] samples it with.
+fn texture_noise(features: &PromptFeatures) -> noise::FbmTable {
+    let (octaves, extent) = match features.texture {
+        TextureClass::Banded => (2, 4.0),
+        TextureClass::Organic => (3, 3.0),
+        TextureClass::Geometric => (1, 5.0),
+    };
+    noise::FbmTable::new(features.seed, octaves, extent)
+}
+
+/// The aesthetic base color at `(u, v)` from the palette and the texture
+/// field built by [`texture_noise`].
+fn aesthetic_color(
+    features: &PromptFeatures,
+    texture: &noise::FbmTable,
+    u: f64,
+    v: f64,
+) -> [f64; 3] {
+    let palette = &features.palette;
+    let pick = |t: f64| -> [f64; 3] {
+        let t = t.clamp(0.0, 0.999);
+        let idx = (t * palette.len() as f64) as usize;
+        let c = palette[idx.min(palette.len() - 1)];
+        [f64::from(c[0]), f64::from(c[1]), f64::from(c[2])]
+    };
+    match features.texture {
+        // Horizon bands: palette sweeps top to bottom.
+        TextureClass::Banded => {
+            let band = v + 0.08 * texture.fbm(u * 4.0, v * 4.0);
+            pick(band)
+        }
+        // Soft blobs.
+        TextureClass::Organic => {
+            let b = 0.5 + 0.5 * texture.fbm(u * 3.0, v * 3.0);
+            pick(b)
+        }
+        // Hard-edged cells.
+        TextureClass::Geometric => {
+            let cell = texture.fbm((u * 5.0).floor(), (v * 5.0).floor());
+            pick(0.5 + 0.5 * cell)
+        }
     }
 }
 

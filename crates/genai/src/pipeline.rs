@@ -14,8 +14,10 @@ use crate::prompt::PromptFeatures;
 use crate::text::{TextModel, TextModelKind};
 
 /// A fully loaded pipeline: one image model and one text model, plus
-/// invocation counters for observability.
-#[derive(Debug)]
+/// invocation counters for observability. A clone shares the loaded text
+/// chain (see [`TextModel`]) and starts its own counters from the
+/// original's.
+#[derive(Debug, Clone)]
 pub struct GenerationPipeline {
     image_model: DiffusionModel,
     text_model: TextModel,
@@ -148,6 +150,24 @@ mod tests {
         assert_eq!(dead, None);
         // Only the completed generation counted.
         assert_eq!(p.images_generated(), 1);
+    }
+
+    #[test]
+    fn clones_share_one_load_and_expand_identically() {
+        let loaded = GenerationPipeline::preload_default();
+        let mut clone = loaded.clone();
+        assert!(clone.text_model().shares_chain(loaded.text_model()));
+        let mut fresh = GenerationPipeline::preload_default();
+        assert!(!fresh.text_model().shares_chain(loaded.text_model()));
+        let bullets = ["council approved transit plan".to_string()];
+        for words in [20, 80, 250] {
+            assert_eq!(
+                clone.generate_text(&bullets, words),
+                fresh.generate_text(&bullets, words)
+            );
+        }
+        assert_eq!(clone.texts_generated(), 3);
+        assert_eq!(loaded.texts_generated(), 0);
     }
 
     #[test]

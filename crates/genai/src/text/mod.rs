@@ -18,22 +18,39 @@ pub use models::{TextModelKind, TextModelProfile};
 use crate::fnv1a;
 use crate::rng::Rng;
 use markov::MarkovChain;
+use std::sync::Arc;
 
 /// A loaded text model: profile + trained chain. Construction trains the
 /// chain, which stands in for model loading — the pipeline preloads it.
+///
+/// Load once, clone per thread: the trained chain sits behind an [`Arc`],
+/// so a clone shares it instead of training again. A server loads one
+/// pipeline per process and hands each worker thread a clone.
 #[derive(Debug, Clone)]
 pub struct TextModel {
     profile: TextModelProfile,
-    chain: MarkovChain,
+    chain: Arc<MarkovChain>,
 }
 
 impl TextModel {
-    /// Load a named model.
+    /// Load a named model: train its chain. Counted in
+    /// `sww_genai_model_loads_total{model}`.
     pub fn new(kind: TextModelKind) -> TextModel {
+        sww_obs::counter(
+            "sww_genai_model_loads_total",
+            &[("model", &format!("{kind:?}"))],
+        )
+        .inc();
         TextModel {
             profile: models::profile(kind),
-            chain: MarkovChain::train(corpus::CORPUS),
+            chain: Arc::new(MarkovChain::train(corpus::CORPUS)),
         }
+    }
+
+    /// Whether `self` and `other` share one trained chain (one load).
+    #[cfg(test)]
+    pub(crate) fn shares_chain(&self, other: &TextModel) -> bool {
+        Arc::ptr_eq(&self.chain, &other.chain)
     }
 
     /// The model's profile.

@@ -21,6 +21,16 @@ const ABSOLUTE_MAX_FRAME: u32 = 1 << 24;
 /// fragments without END_HEADERS).
 const MAX_HEADER_BLOCK: usize = 1 << 20;
 
+/// The error for a frame that names a stream which already closed
+/// (RFC 9113 §5.1: STREAM_CLOSED).
+fn stream_closed(stream_id: u32, what: &str) -> H2Error {
+    H2Error::Stream(
+        stream_id,
+        ErrorCode::StreamClosed,
+        format!("{what} on closed stream"),
+    )
+}
+
 /// Framed frame reader/writer over any async byte stream.
 #[derive(Debug)]
 pub struct FrameIo<T> {
@@ -192,9 +202,14 @@ pub struct Connection<T> {
     enc: Encoder,
     dec: Decoder,
     conn_send: FlowWindow,
+    /// Streams not yet closed; a stream leaves the map when it reaches
+    /// `Closed`, so a long-lived connection holds only its open streams.
     streams: HashMap<u32, StreamEntry>,
     assembly: Option<HeaderAssembly>,
     next_stream_id: u32,
+    /// Highest stream id the peer has opened: the GOAWAY last-stream-id,
+    /// and the floor below which a peer HEADERS cannot open a stream.
+    highest_peer_stream: u32,
     pending: VecDeque<CompleteMessage>,
     remote_settings_seen: bool,
     goaway_received: bool,
@@ -220,6 +235,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             streams: HashMap::new(),
             assembly: None,
             next_stream_id: if role == Role::Client { 1 } else { 2 },
+            highest_peer_stream: 0,
             pending: VecDeque::new(),
             remote_settings_seen: false,
             goaway_received: false,
@@ -363,6 +379,9 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
         fields: &[HeaderField],
         body: Bytes,
     ) -> Result<(), H2Error> {
+        if self.was_closed(stream_id) {
+            return Err(stream_closed(stream_id, "HEADERS"));
+        }
         let entry = self
             .streams
             .entry(stream_id)
@@ -379,6 +398,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
         if !body.is_empty() {
             self.send_body(stream_id, body).await?;
         }
+        self.retire_if_closed(stream_id);
         Ok(())
     }
 
@@ -433,11 +453,13 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             // Wait for window on both the stream and the connection.
             let mut stalled = false;
             let writable = loop {
+                // A stream reset while we wait for credit has left the map.
                 let stream_avail = self
                     .streams
                     .get(&stream_id)
-                    .map(|s| s.send_window.available())
-                    .unwrap_or(0);
+                    .ok_or_else(|| stream_closed(stream_id, "DATA"))?
+                    .send_window
+                    .available();
                 let avail = stream_avail
                     .min(self.conn_send.available())
                     .min(self.remote.max_frame_size as usize)
@@ -487,9 +509,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
 
     /// Send RST_STREAM for one stream.
     pub async fn reset_stream(&mut self, stream_id: u32, code: ErrorCode) -> Result<(), H2Error> {
-        if let Some(e) = self.streams.get_mut(&stream_id) {
-            e.state = e.state.on_reset();
-        }
+        self.streams.remove(&stream_id);
         self.write(&Frame::RstStream(RstStreamFrame::new(stream_id, code)))
             .await
     }
@@ -512,7 +532,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
 
     /// Graceful shutdown: send GOAWAY(NO_ERROR).
     pub async fn close(&mut self) -> Result<(), H2Error> {
-        let last = self.highest_peer_stream();
+        let last = self.highest_peer_stream;
         sww_obs::counter("sww_http2_goaway_total", &[("direction", "sent")]).inc();
         self.write(&Frame::GoAway(GoAwayFrame::new(
             last,
@@ -522,24 +542,33 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
         .await
     }
 
-    fn highest_peer_stream(&self) -> u32 {
-        self.streams
-            .keys()
-            .copied()
-            .filter(|id| match self.role {
-                Role::Client => id % 2 == 0,
-                Role::Server => id % 2 == 1,
-            })
-            .max()
-            .unwrap_or(0)
+    /// Whether `id` is a stream the peer opens (by parity).
+    fn peer_initiated(&self, id: u32) -> bool {
+        // Clients open odd ids, servers even ones.
+        id.is_multiple_of(2) == (self.role == Role::Client)
+    }
+
+    /// Whether `id` was opened on this connection and has since closed
+    /// (closed streams are dropped from the map).
+    fn was_closed(&self, id: u32) -> bool {
+        let opened = if self.peer_initiated(id) {
+            id <= self.highest_peer_stream
+        } else {
+            id < self.next_stream_id
+        };
+        id != 0 && opened && !self.streams.contains_key(&id)
+    }
+
+    /// Drop `id` from the map once it has closed in both directions.
+    fn retire_if_closed(&mut self, id: u32) {
+        if self.streams.get(&id).is_some_and(|s| s.state.is_closed()) {
+            self.streams.remove(&id);
+        }
     }
 
     /// Number of live (non-closed) streams.
     pub fn active_streams(&self) -> usize {
-        self.streams
-            .values()
-            .filter(|s| !s.state.is_closed())
-            .count()
+        self.streams.len()
     }
 
     async fn handle_frame(&mut self, frame: Frame) -> Result<(), H2Error> {
@@ -600,9 +629,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             }
             Frame::Priority(_) => Ok(()), // deprecated; ignored
             Frame::RstStream(r) => {
-                if let Some(entry) = self.streams.get_mut(&r.stream_id) {
-                    entry.state = entry.state.on_reset();
-                }
+                self.streams.remove(&r.stream_id);
                 Ok(())
             }
             Frame::PushPromise(p) => {
@@ -614,8 +641,18 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
                     .await
             }
             Frame::Headers(h) => {
-                if self.role == Role::Server && h.stream_id % 2 == 0 {
-                    return Err(H2Error::protocol("client used even stream id"));
+                if !self.streams.contains_key(&h.stream_id) {
+                    // Only the peer's parity opens a stream, and each new
+                    // one must raise the id (RFC 9113 §5.1.1); anything
+                    // else names a closed stream or one it may not open.
+                    if !self.peer_initiated(h.stream_id) || h.stream_id <= self.highest_peer_stream
+                    {
+                        return Err(H2Error::protocol(format!(
+                            "HEADERS cannot open stream {}",
+                            h.stream_id
+                        )));
+                    }
+                    self.highest_peer_stream = h.stream_id;
                 }
                 let entry = self
                     .streams
@@ -624,6 +661,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
                 entry.state = entry.state.on_recv_headers(h.end_stream)?;
                 if h.end_headers {
                     self.finish_header_block(h.stream_id, &h.fragment, h.end_stream)?;
+                    self.retire_if_closed(h.stream_id);
                 } else {
                     self.assembly = Some(HeaderAssembly {
                         stream_id: h.stream_id,
@@ -651,6 +689,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
                 if c.end_headers {
                     let fragments = std::mem::take(&mut asm.fragments);
                     self.finish_header_block(asm.stream_id, &fragments, asm.end_stream)?;
+                    self.retire_if_closed(asm.stream_id);
                 } else {
                     self.assembly = Some(asm);
                 }
@@ -659,6 +698,9 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             Frame::Data(d) => {
                 let len = d.data.len();
                 self.bytes_received += len as u64;
+                if self.was_closed(d.stream_id) {
+                    return Err(stream_closed(d.stream_id, "DATA"));
+                }
                 let entry = self.streams.get_mut(&d.stream_id).ok_or_else(|| {
                     H2Error::protocol(format!("DATA on unknown stream {}", d.stream_id))
                 })?;
@@ -679,6 +721,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
                 }
                 if complete {
                     self.complete_message(d.stream_id)?;
+                    self.retire_if_closed(d.stream_id);
                 }
                 Ok(())
             }
@@ -720,5 +763,65 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             body,
         });
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::headers::{Request, Response};
+    use crate::settings::GenAbility;
+    use tokio::io::duplex;
+
+    /// A persistent connection carrying many exchanges keeps no state for
+    /// the finished ones, on either side.
+    #[tokio::test]
+    async fn closed_streams_leave_the_map() {
+        const EXCHANGES: usize = 10_000;
+        let (a, b) = duplex(1 << 16);
+        let server = tokio::spawn(async move {
+            let mut conn = Connection::server_handshake(b, Settings::sww(GenAbility::none()))
+                .await
+                .unwrap();
+            let (mut served, mut most) = (0usize, 0usize);
+            while let Ok(msg) = conn.next_message().await {
+                let resp = Response::ok(Bytes::from_static(b"ok"));
+                conn.send_message(msg.stream_id, &resp.to_fields(), resp.body.clone())
+                    .await
+                    .unwrap();
+                served += 1;
+                most = most.max(conn.streams.len());
+            }
+            (served, most, conn.highest_peer_stream)
+        });
+        let mut conn = Connection::client_handshake(a, Settings::sww(GenAbility::none()))
+            .await
+            .unwrap();
+        let req = Request::get("/");
+        // Pipelined in windows, so the run does not pay one executor
+        // round trip per exchange.
+        const WINDOW: usize = 100;
+        let mut most = 0;
+        for _ in 0..EXCHANGES / WINDOW {
+            let ids: Vec<u32> = (0..WINDOW).map(|_| conn.open_stream()).collect();
+            for &id in &ids {
+                conn.send_message(id, &req.to_fields(), Bytes::new())
+                    .await
+                    .unwrap();
+            }
+            most = most.max(conn.streams.len());
+            for &id in &ids {
+                assert_eq!(conn.next_message().await.unwrap().stream_id, id);
+            }
+        }
+        assert_eq!(conn.streams.len(), 0);
+        assert_eq!(most, WINDOW, "the client kept a finished stream");
+        conn.close().await.unwrap();
+        drop(conn);
+        let (served, server_most, last) = server.await.unwrap();
+        assert_eq!(served, EXCHANGES);
+        assert_eq!(server_most, 0, "the server kept a finished stream");
+        // GOAWAY still names the last stream the server saw.
+        assert_eq!(last, 2 * EXCHANGES as u32 - 1);
     }
 }

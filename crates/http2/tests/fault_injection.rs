@@ -246,3 +246,45 @@ async fn unknown_frames_and_settings_are_tolerated() {
         .expect("unknown settings/frames must not kill the handshake");
     assert!(conn.negotiated_ability().can_generate());
 }
+
+/// A peer HEADERS frame that does not raise the stream id — reusing a
+/// finished stream or reaching below the highest one opened — is a
+/// PROTOCOL_ERROR (RFC 9113 §5.1.1), not a new stream.
+#[tokio::test]
+async fn headers_on_a_used_stream_id_rejected() {
+    for (first, second) in [(1u32, 1u32), (5, 3)] {
+        let request = |id: u32, enc: &mut sww_http2::hpack::Encoder| {
+            let block = enc.encode(&sww_http2::Request::get("/").to_fields());
+            encode_frame(&Frame::Headers(HeadersFrame::new(
+                id,
+                Bytes::from(block),
+                true,
+            )))
+        };
+        let mut enc = sww_http2::hpack::Encoder::new();
+        let mut bytes = sww_http2::PREFACE.to_vec();
+        bytes.extend(encode_frame(&Frame::Settings(SettingsFrame::new(vec![]))));
+        bytes.extend(request(first, &mut enc));
+        bytes.extend(request(second, &mut enc));
+        let (mut a, b) = duplex(1 << 16);
+        tokio::spawn(async move {
+            let _ = a.write_all(&bytes).await;
+            tokio::time::sleep(std::time::Duration::from_millis(200)).await;
+            a
+        });
+        let mut conn = Connection::server_handshake(b, Settings::sww(GenAbility::none()))
+            .await
+            .expect("handshake ok");
+        let msg = conn.next_message().await.expect("first request");
+        assert_eq!(msg.stream_id, first);
+        let resp = sww_http2::Response::status(204);
+        conn.send_message(first, &resp.to_fields(), Bytes::new())
+            .await
+            .expect("response");
+        let err = conn.next_message().await.unwrap_err();
+        assert!(
+            matches!(err, H2Error::Connection(sww_http2::ErrorCode::Protocol, _)),
+            "stream {second} after {first}: {err}"
+        );
+    }
+}

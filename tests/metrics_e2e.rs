@@ -78,6 +78,15 @@ async fn metrics_reflect_a_generative_fetch() {
         Some(stats.items_fetched as f64)
     );
     assert_eq!(series_value(&text, "sww_client_pages_total"), Some(1.0));
+    // One model load: the client's own pipeline (one simulated device).
+    // The server served prompt form, so it never loaded its generator.
+    assert_eq!(
+        series_value(
+            &text,
+            "sww_genai_model_loads_total{model=\"DeepSeekR1_8B\"}"
+        ),
+        Some(1.0)
+    );
     assert_eq!(
         series_value(&text, "sww_cache_events_total{result=\"miss\"}"),
         Some(client.cache().misses as f64)
