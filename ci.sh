@@ -46,8 +46,10 @@ cargo test --manifest-path perfbench/Cargo.toml -q
 # report, and compare it against the checked-in baseline. The gate reads
 # the *modelled* throughput columns (deterministic cost model — see
 # PERFORMANCE.md), so it fails on a real kernel/cost regression, never on
-# host noise; it also enforces the >= 1.5x batch-8 speedup floor and zero
-# steady-state pool allocations. Re-bless after an intentional change:
+# host noise; then it runs every row of the gate table
+# (crates/bench/src/gate.rs, PERFORMANCE.md "The gate table"): the
+# >= 1.5x speedup floor, zero steady-state pool allocations, and the
+# E19-E21 invariants. Re-bless after an intentional change:
 #   SWW_BLESS=1 ./ci.sh        (or: ./target/release/sww-cli bench-pr6 --out BENCH_PR6.json)
 echo "==> bench-pr6 perf gate (target/BENCH_PR6.json vs checked-in baseline)"
 ./target/release/sww-cli bench-pr6 --out target/BENCH_PR6.json 2>/dev/null
@@ -88,11 +90,11 @@ cargo test --release --test edge_cluster -q
 
 # E19+E21 gate: the edge-cluster sweep, node-kill chaos run, and the
 # replication failover + gossip partition scenarios from the command
-# line exactly as a user would run them. Exits non-zero if the global
-# hit rate is not strictly increasing with node count, any response is
-# lost across a kill, payloads diverge after failover, the replicated
-# failover pays a regeneration (or the unreplicated control pays none),
-# or the gossip partition misses its deterministic heal bound.
+# line exactly as a user would run them. Exits non-zero if any E19/E21
+# row of the gate table (crates/bench/src/gate.rs, PERFORMANCE.md "The
+# gate table") fails: hit rate strictly rising with node count, zero
+# lost responses and identical bytes across kills, zero regenerations
+# with replicas (at least one without), and the gossip heal bound.
 echo "==> bench-cluster --chaos --replication 2 (E19+E21 edge gate)"
 ./target/release/sww-cli bench-cluster --nodes 1,2 --threads 2 --requests 5 \
     --replication 2 \
@@ -109,18 +111,19 @@ cargo test --release --test workload_replay -q
 
 # E20 gate: the small-world workload sweep and live replay from the
 # command line exactly as a user would run it, under chaos. Exits
-# non-zero if the bounded-cache hit rate is not strictly increasing
-# with graph clustering, any modelled p99 breaks the deadline, or two
-# seeded replays diverge — response digests included even under chaos:
-# each server draws faults from its own seeded scope, so the fault
-# schedule replays per instance (the PR 9 waiver is gone).
+# non-zero if any E20 row of the gate table (crates/bench/src/gate.rs,
+# PERFORMANCE.md "The gate table") fails: hit rate strictly rising with
+# graph clustering, modelled p99 under the deadline, and seeded replays
+# that agree — response digests included even under chaos: each server
+# draws faults from its own seeded scope, so the fault schedule replays
+# per instance.
 echo "==> bench-workload --chaos (E20 workload gate)"
 ./target/release/sww-cli bench-workload --requests 20000 --live-requests 150 \
     --chaos "seed=9,engine.generate=latency:0.5:5" >/dev/null
 
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
-TEST_FLOOR=894
+TEST_FLOOR=906
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -103,16 +103,6 @@ impl Default for ConcurrencyConfig {
     }
 }
 
-/// Percentile over a latency set, by nearest-rank on the sorted samples.
-/// Shared with the E17 kernel sweep. Returns 0 for an empty set.
-pub(crate) fn percentile_ms(sorted: &[f64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// The sweep workload: one page per unique prompt, each carrying one
 /// 64×64 generated-content image. Shared with the E16 batching sweep.
 pub(crate) fn bench_site(prompts: usize) -> SiteContent {
@@ -233,8 +223,8 @@ pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
         shed: shed_after - shed_before,
         cancelled: cancelled_after - cancelled_before,
         deadline_misses: misses_after - misses_before,
-        p50_ms: percentile_ms(&latencies_ms, 50.0),
-        p99_ms: percentile_ms(&latencies_ms, 99.0),
+        p50_ms: sww_obs::percentile(&latencies_ms, 50.0),
+        p99_ms: sww_obs::percentile(&latencies_ms, 99.0),
     }
 }
 

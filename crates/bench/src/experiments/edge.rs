@@ -31,7 +31,7 @@ use sww_energy::cost;
 use sww_energy::device::{profile, DeviceKind};
 use sww_http2::Request;
 
-use super::concurrency::{bench_site, percentile_ms};
+use super::concurrency::bench_site;
 
 /// Sweep configuration. Requests per sample = `nodes × threads_per_node
 /// × requests_per_thread`, so the offered load scales with the cluster
@@ -315,11 +315,27 @@ pub fn run(cfg: &EdgeClusterConfig) -> Vec<EdgeSample> {
                 max_owned: row.max_owned,
                 modelled_qps: row.modelled_qps,
                 wall_qps: requests as f64 / elapsed.max(1e-9),
-                p50_ms: percentile_ms(&latencies, 50.0),
-                p99_ms: percentile_ms(&latencies, 99.0),
+                p50_ms: sww_obs::percentile(&latencies, 50.0),
+                p99_ms: sww_obs::percentile(&latencies, 99.0),
             }
         })
         .collect()
+}
+
+/// The generation latency the node-kill scenario runs under when the
+/// caller installs no chaos spec: every generation sleeps 10 ms, which
+/// widens the window in which the kill lands mid-flight.
+pub const CHAOS_LATENCY_SPEC: &str = "seed=7,engine.generate=latency:1.0:10";
+
+/// [`chaos_kill`] with [`CHAOS_LATENCY_SPEC`] installed for the duration:
+/// the self-contained entry point `sww bench-pr6` and `sww bench-cluster`
+/// use when no `--chaos` spec was supplied by the caller.
+pub fn chaos_kill_with_latency(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
+    let spec = sww_core::ChaosSpec::parse(CHAOS_LATENCY_SPEC).expect("E19 latency spec");
+    sww_core::faults::install(&spec);
+    let out = chaos_kill(cfg);
+    sww_core::faults::clear();
+    out
 }
 
 /// The chaos node-kill scenario: run a 3-node cluster under client load,
@@ -605,11 +621,7 @@ mod tests {
         let _serial = super::super::POOL_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let spec = sww_core::ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10")
-            .expect("latency spec");
-        sww_core::faults::install(&spec);
-        let outcome = chaos_kill(&small());
-        sww_core::faults::clear();
+        let outcome = chaos_kill_with_latency(&small());
         assert_eq!(outcome.lost, 0, "zero lost responses: {outcome:?}");
         assert_eq!(outcome.completed, outcome.requests);
         assert!(outcome.byte_identical, "failover must not change bytes");

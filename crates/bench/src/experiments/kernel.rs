@@ -148,8 +148,8 @@ pub fn kernel_sample(cfg: KernelConfig, runner: &WorkerPool, tiles: usize) -> Ke
     KernelSample {
         tiles,
         wall_qps: (cfg.batch * cfg.reps.max(1)) as f64 / elapsed.max(1e-9),
-        p50_ms: super::concurrency::percentile_ms(&pass_ms, 50.0),
-        p99_ms: super::concurrency::percentile_ms(&pass_ms, 99.0),
+        p50_ms: sww_obs::percentile(&pass_ms, 50.0),
+        p99_ms: sww_obs::percentile(&pass_ms, 99.0),
         modelled_rate: cfg.batch as f64 / pass_s.max(1e-12),
         speedup: 1.0, // filled in by `kernel_sweep` against the 1-lane row
         alloc_bytes: pool_alloc_bytes() - alloc_before,
@@ -295,8 +295,8 @@ pub fn serving_sample(cfg: ServingConfig, kernel_tiles: usize) -> ServingSample 
     ServingSample {
         kernel_tiles,
         wall_qps: images / elapsed.max(1e-9),
-        p50_ms: super::concurrency::percentile_ms(&latencies_ms, 50.0),
-        p99_ms: super::concurrency::percentile_ms(&latencies_ms, 99.0),
+        p50_ms: sww_obs::percentile(&latencies_ms, 50.0),
+        p99_ms: sww_obs::percentile(&latencies_ms, 99.0),
         modelled_rate: images / modelled_s.max(1e-12),
         speedup: 1.0, // filled in by `serving_sweep` against the tiles-1 row
         mean_batch: server.batch_stats().map_or(0.0, |s| s.mean_batch),

@@ -26,8 +26,6 @@ use sww_html::gencontent;
 use sww_http2::Request;
 use sww_http3::H3ClientConnection;
 
-use super::concurrency::percentile_ms;
-
 /// Sweep configuration: `pages` pages of `recipes` unique recipes each,
 /// with every server-side generation slowed by `gen_latency_ms`.
 #[derive(Debug, Clone, Copy)]
@@ -168,8 +166,8 @@ fn sample_from(
     page_ms.sort_by(|a, b| a.total_cmp(b));
     TransportSample {
         transport,
-        p50_ms: percentile_ms(&page_ms, 50.0),
-        p99_ms: percentile_ms(&page_ms, 99.0),
+        p50_ms: sww_obs::percentile(&page_ms, 50.0),
+        p99_ms: sww_obs::percentile(&page_ms, 99.0),
         wall_qps: cfg.pages as f64 / elapsed_s.max(1e-9),
         modelled_qps: 1000.0 / modelled_page_ms(cfg, transport),
         requests,

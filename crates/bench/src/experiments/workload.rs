@@ -127,6 +127,13 @@ impl E20Config {
             ..WorkloadConfig::default()
         }
     }
+
+    /// Clustering coefficient of the graph the live replays browse.
+    pub fn live_clustering(&self) -> f64 {
+        self.workload(self.live_beta, self.live_requests)
+            .site_graph()
+            .clustering_coefficient()
+    }
 }
 
 /// One modelled sweep row: the workload at one `β`.
@@ -340,46 +347,6 @@ pub fn live_table(cfg: &E20Config, samples: &[LiveSample]) -> Table {
     t
 }
 
-/// The SLO gates `bench-workload` (and the report compare) enforce on a
-/// finished sweep. Returns human-readable failure lines; empty means the
-/// run passed.
-pub fn slo_failures(
-    cfg: &E20Config,
-    rows: &[WorkloadRow],
-    determinism: &DeterminismOutcome,
-) -> Vec<String> {
-    let mut bad = Vec::new();
-    let mut sorted: Vec<&WorkloadRow> = rows.iter().collect();
-    sorted.sort_by(|a, b| a.clustering.total_cmp(&b.clustering));
-    for pair in sorted.windows(2) {
-        let (lo, hi) = (pair[0], pair[1]);
-        if hi.slo.hit_rate <= lo.slo.hit_rate {
-            bad.push(format!(
-                "hit rate must rise with clustering ({:.4} -> {:.4} as C {:.4} -> {:.4})",
-                lo.slo.hit_rate, hi.slo.hit_rate, lo.clustering, hi.clustering
-            ));
-        }
-    }
-    for r in rows {
-        if r.slo.p99_ms > cfg.deadline_ms {
-            bad.push(format!(
-                "beta {:.2}: modelled p99 {:.3} ms over the {:.0} ms deadline",
-                r.beta, r.slo.p99_ms, cfg.deadline_ms
-            ));
-        }
-    }
-    if !determinism.trace_match {
-        bad.push("replay nondeterministic: trace digests diverged".into());
-    }
-    if !determinism.response_match {
-        bad.push("replay nondeterministic: response digests diverged".into());
-    }
-    if !determinism.cross_target_identical {
-        bad.push("payload digests differ between single-node and edge replays".into());
-    }
-    bad
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::POOL_SERIAL;
@@ -403,6 +370,24 @@ mod tests {
             live_requests: 90,
             ..E20Config::default()
         }
+    }
+
+    /// Failures of the report's gate table over one E20 run's records.
+    fn gate_failures(
+        cfg: &E20Config,
+        rows: &[WorkloadRow],
+        live: &[LiveSample],
+        det: &DeterminismOutcome,
+    ) -> Vec<String> {
+        let records = crate::report::WorkloadSection {
+            cfg,
+            modelled: rows,
+            live,
+            live_clustering: 0.5,
+            determinism: det,
+        }
+        .records();
+        crate::gate::evaluate(&records, None).failed
     }
 
     #[test]
@@ -439,7 +424,10 @@ mod tests {
         assert!(det.deterministic(), "{det:?}");
         let mcfg = tiny_modelled();
         let rows = modelled_sweep(&mcfg);
-        assert_eq!(slo_failures(&mcfg, &rows, &det), Vec::<String>::new());
+        assert_eq!(
+            gate_failures(&mcfg, &rows, &live, &det),
+            Vec::<String>::new()
+        );
     }
 
     /// The gate PR 9 waived: with chaos installed, two independent
@@ -474,9 +462,9 @@ mod tests {
             response_match: false,
             cross_target_identical: false,
         };
-        let bad = slo_failures(&cfg, &rows, &det);
+        let bad = gate_failures(&cfg, &rows, &[], &det);
         assert!(
-            bad.iter().any(|l| l.contains("rise with clustering")),
+            bad.iter().any(|l| l.contains("increase with clustering")),
             "{bad:?}"
         );
         assert!(bad.iter().any(|l| l.contains("over the")), "{bad:?}");
@@ -485,7 +473,8 @@ mod tests {
             "{bad:?}"
         );
         assert!(
-            bad.iter().any(|l| l.contains("single-node and edge")),
+            bad.iter()
+                .any(|l| l.contains("payloads depend on topology")),
             "{bad:?}"
         );
     }

@@ -8,6 +8,7 @@
 //! (E1–E13) and EXPERIMENTS.md for recorded paper-vs-measured results.
 
 pub mod experiments;
+pub mod gate;
 pub mod report;
 pub mod table;
 

@@ -15,16 +15,9 @@
 //!   gated.
 //!
 //! [`compare`] is the gate `ci.sh bench` runs: every baseline record must
-//! still exist, modelled throughput must be within tolerance, the
-//! headline speedups must clear the PR 6 floor, the steady-state
-//! allocation counters must read zero, the E19 global hit rate must
-//! strictly increase with node count, the chaos node-kill must lose
-//! zero responses with byte-identical payloads, the E20 workload hit
-//! rate must strictly increase with graph clustering while the modelled
-//! p99 stays under its deadline, the E20 replay must be deterministic,
-//! the E21 replicated failover must cost zero regenerations (and the
-//! unreplicated control at least one), and the E21 gossip partition
-//! must heal within its deterministic round bound.
+//! still exist with its modelled throughput within tolerance, and the
+//! fresh report must pass every within-run invariant in
+//! [`gate::GATES`](crate::gate::GATES).
 
 use crate::experiments::edge::{EdgeChaosOutcome, EdgeClusterConfig, EdgeSample};
 use crate::experiments::kernel::{KernelConfig, KernelSample, ServingConfig, ServingSample};
@@ -42,10 +35,6 @@ use sww_json::Value;
 /// `/5` added the E21 `edge_resilience` records (keyed by `replication`)
 /// and the `gossip_partition` heal witness.
 pub const PR6_SCHEMA: &str = "sww-bench-pr6/5";
-
-/// Modelled-speedup floor from the PR 6 acceptance criterion: the tiled
-/// kernel must buy ≥ 1.5× at batch 8.
-pub const SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Round to 3 decimals: keeps checked-in baselines readable while staying
 /// far above the cost model's discrimination threshold.
@@ -270,6 +259,18 @@ pub struct EdgeSection<'a> {
     pub chaos: &'a EdgeChaosOutcome,
 }
 
+impl EdgeSection<'_> {
+    /// One `edge_cluster` record per node count, then the `edge_chaos`
+    /// record.
+    pub fn records(&self) -> Vec<Value> {
+        self.sweep
+            .iter()
+            .map(|s| edge_record(self.cfg, s))
+            .chain(std::iter::once(chaos_record(self.chaos)))
+            .collect()
+    }
+}
+
 /// The E21 inputs to a report: one failover outcome per replication
 /// level plus the gossip partition-heal witness.
 pub struct ResilienceSection<'a> {
@@ -277,6 +278,18 @@ pub struct ResilienceSection<'a> {
     pub failover: &'a [FailoverOutcome],
     /// The partition-heal outcome.
     pub partition: &'a PartitionOutcome,
+}
+
+impl ResilienceSection<'_> {
+    /// One `edge_resilience` record per replication level, then the
+    /// `gossip_partition` record.
+    pub fn records(&self) -> Vec<Value> {
+        self.failover
+            .iter()
+            .map(resilience_record)
+            .chain(std::iter::once(partition_record(self.partition)))
+            .collect()
+    }
 }
 
 /// The E20 inputs to a report: sweep config, modelled rows, live replay
@@ -293,6 +306,23 @@ pub struct WorkloadSection<'a> {
     pub live_clustering: f64,
     /// The replay-determinism witness.
     pub determinism: &'a DeterminismOutcome,
+}
+
+impl WorkloadSection<'_> {
+    /// One `smallworld_modelled` record per `β`, one `workload_replay`
+    /// record per live target, then the `workload_determinism` record.
+    pub fn records(&self) -> Vec<Value> {
+        self.modelled
+            .iter()
+            .map(|r| workload_record(self.cfg, r))
+            .chain(
+                self.live
+                    .iter()
+                    .map(|s| replay_record(self.live_clustering, s)),
+            )
+            .chain(std::iter::once(determinism_record(self.determinism)))
+            .collect()
+    }
 }
 
 /// Assemble the PR 6 report from both E17 sweeps, the E18 transport
@@ -315,23 +345,9 @@ pub fn pr6_report(
         .map(|s| kernel_record(kcfg, s))
         .chain(serving.iter().map(|s| serving_record(scfg, s)))
         .chain(transports.iter().map(|s| transport_record(tcfg, s)))
-        .chain(edge.sweep.iter().map(|s| edge_record(edge.cfg, s)))
-        .chain(std::iter::once(chaos_record(edge.chaos)))
-        .chain(
-            workload
-                .modelled
-                .iter()
-                .map(|r| workload_record(workload.cfg, r)),
-        )
-        .chain(
-            workload
-                .live
-                .iter()
-                .map(|s| replay_record(workload.live_clustering, s)),
-        )
-        .chain(std::iter::once(determinism_record(workload.determinism)))
-        .chain(resilience.failover.iter().map(resilience_record))
-        .chain(std::iter::once(partition_record(resilience.partition)))
+        .chain(edge.records())
+        .chain(workload.records())
+        .chain(resilience.records())
         .collect();
     let widest = |speedups: Vec<(usize, f64)>| {
         speedups
@@ -424,26 +440,36 @@ pub fn render(report: &Value) -> String {
     out
 }
 
-/// A record's identity within a report: `(experiment, kernel_tiles,
-/// transport, nodes, clustering, replication)` — the transport component
-/// is empty for the E17 kernel and serving records (which exist once per
-/// lane count), the nodes component is zero for everything but the E19
-/// edge records (which exist once per cluster size), the clustering
-/// component is empty for everything but the E20 workload records (which
-/// exist once per graph topology), and the replication component is zero
-/// for everything but the E21 resilience records (which exist once per
-/// replication level).
-fn record_key(record: &Value) -> (String, u64, String, u64, String, u64) {
-    (
-        record["experiment"].as_str().unwrap_or("?").to_owned(),
-        record["kernel_tiles"].as_u64().unwrap_or(0),
-        record["transport"].as_str().unwrap_or("").to_owned(),
-        record["nodes"].as_u64().unwrap_or(0),
-        record["clustering"]
-            .as_f64()
-            .map(|c| format!("{c:.3}"))
-            .unwrap_or_default(),
-        record["replication"].as_u64().unwrap_or(0),
+/// A record's identity within a report, as a readable label:
+/// `experiment[kernel_tiles=… transport=… nodes=… clustering=…
+/// replication=…]`, listing only the components the record sets. The
+/// transport is set on the E18 and E20 records, nodes on the E19–E21
+/// ones, clustering on the E20 workload records (one per graph
+/// topology), and replication on the E21 failover records (one per
+/// level); the E17 kernel and serving records exist once per lane count.
+pub(crate) fn record_key(record: &Value) -> String {
+    let parts: Vec<String> = [
+        "kernel_tiles",
+        "transport",
+        "nodes",
+        "clustering",
+        "replication",
+    ]
+    .into_iter()
+    .filter_map(|column| {
+        let value = &record[column];
+        let shown = match column {
+            "transport" => value.as_str().filter(|t| !t.is_empty())?.to_owned(),
+            "clustering" => format!("{:.3}", value.as_f64()?),
+            _ => value.as_u64().filter(|&n| n != 0)?.to_string(),
+        };
+        Some(format!("{column}={shown}"))
+    })
+    .collect();
+    format!(
+        "{}[{}]",
+        record["experiment"].as_str().unwrap_or("?"),
+        parts.join(" ")
     )
 }
 
@@ -452,29 +478,15 @@ fn record_key(record: &Value) -> (String, u64, String, u64, String, u64) {
 /// Checks, in order:
 ///
 /// 1. both reports carry the [`PR6_SCHEMA`] tag;
-/// 2. every baseline record still exists in `current`;
-/// 3. each record's **modelled** throughput is within `tolerance`
-///    (fractional, e.g. `0.10`) of the baseline — wall-clock columns are
-///    never gated;
-/// 4. the current headline speedups clear [`SPEEDUP_FLOOR`];
-/// 5. every current record's steady-state allocation counter reads zero;
-/// 6. the E19 `edge_cluster` hit rate **strictly increases** with node
-///    count — the cluster-wide exactly-once property in one number;
-/// 7. every `edge_chaos` record lost zero responses and kept payloads
-///    byte-identical to the single-node baseline;
-/// 8. the E20 `smallworld_modelled` hit rate **strictly increases** with
-///    graph clustering (locality is what the bounded cache converts into
-///    hits) and every modelled p99 stays under its recorded deadline;
-/// 9. every `workload_determinism` record witnessed bit-identical traces,
-///    matching response digests, and topology-independent payloads;
-/// 10. every E21 `edge_resilience` record lost zero responses with
-///     byte-identical payloads, replicated runs (`replication ≥ 2`) cost
-///     **zero** regenerations while serving from replicas, and the
-///     unreplicated control re-rendered at least once — the contrast
-///     that proves replicas carried the failover;
-/// 11. every `gossip_partition` record diverged under the partition,
-///     healed to a converged view within its deterministic round bound,
-///     and replayed identically from the same seed.
+/// 2. every baseline record still exists in `current`, and its
+///    **modelled** throughput is within `tolerance` (fractional, e.g.
+///    `0.10`) of the baseline — wall-clock columns are never gated;
+/// 3. the current report passes every within-run invariant in
+///    [`gate::GATES`](crate::gate::GATES): headline speedups over the
+///    floor, zero steady-state allocation on every record, the E19 and
+///    E20 hit-rate monotonicity, zero-loss and byte-identity across
+///    kills, the E20 deadline and determinism witnesses, the E21
+///    replication contrast, and the gossip heal bound.
 ///
 /// Returns the per-check log lines on success, the failure messages
 /// otherwise.
@@ -493,257 +505,31 @@ pub fn compare(
     if !bad.is_empty() {
         return Err(bad);
     }
-    let empty = Vec::new();
-    let base_records = baseline["records"].as_array().unwrap_or(&empty);
-    let cur_records = current["records"].as_array().unwrap_or(&empty);
+    let base_records = baseline["records"].as_array().unwrap_or_default();
+    let cur_records = current["records"].as_array().unwrap_or_default();
     for base in base_records {
         let key = record_key(base);
         let Some(cur) = cur_records.iter().find(|r| record_key(r) == key) else {
-            bad.push(format!("{key:?}: record missing from current report"));
+            bad.push(format!("{key}: record missing from current report"));
             continue;
         };
         let base_qps = base["modelled_qps"].as_f64().unwrap_or(0.0);
         let cur_qps = cur["modelled_qps"].as_f64().unwrap_or(0.0);
         if cur_qps < base_qps * (1.0 - tolerance) {
             bad.push(format!(
-                "{key:?}: modelled throughput regressed {base_qps:.3} -> {cur_qps:.3} \
+                "{key}: modelled throughput regressed {base_qps:.3} -> {cur_qps:.3} \
                  (> {:.0}% drop)",
                 tolerance * 100.0
             ));
         } else {
             ok.push(format!(
-                "{key:?}: modelled qps {cur_qps:.3} vs baseline {base_qps:.3}"
-            ));
-        }
-        let alloc = cur["alloc_bytes_steady"].as_u64().unwrap_or(u64::MAX);
-        if alloc != 0 {
-            bad.push(format!(
-                "{key:?}: steady state allocated {alloc} fresh pool bytes"
+                "{key}: modelled qps {cur_qps:.3} vs baseline {base_qps:.3}"
             ));
         }
     }
-    // E19: the global hit rate must strictly increase with node count —
-    // if it plateaus, some node generated a recipe it did not own and the
-    // cluster-wide single-flight is broken.
-    let mut edge_rows: Vec<(u64, f64)> = cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("edge_cluster"))
-        .map(|r| {
-            (
-                r["nodes"].as_u64().unwrap_or(0),
-                r["hit_rate"].as_f64().unwrap_or(0.0),
-            )
-        })
-        .collect();
-    edge_rows.sort_by_key(|&(nodes, _)| nodes);
-    for pair in edge_rows.windows(2) {
-        let ((n0, h0), (n1, h1)) = (pair[0], pair[1]);
-        if h1 <= h0 {
-            bad.push(format!(
-                "edge_cluster: hit rate must strictly increase with nodes \
-                 ({n0} nodes: {h0:.3} -> {n1} nodes: {h1:.3})"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_cluster: hit rate {h0:.3} @ {n0} nodes < {h1:.3} @ {n1} nodes"
-            ));
-        }
-    }
-    // E19 chaos: a node-kill may cost retries, never responses or bytes.
-    for chaos in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("edge_chaos"))
-    {
-        let nodes = chaos["nodes"].as_u64().unwrap_or(0);
-        let lost = chaos["lost"].as_u64().unwrap_or(u64::MAX);
-        if lost != 0 {
-            bad.push(format!("edge_chaos @ {nodes} nodes: {lost} lost responses"));
-        } else {
-            ok.push(format!("edge_chaos @ {nodes} nodes: zero lost responses"));
-        }
-        if chaos["byte_identical"].as_bool() != Some(true) {
-            bad.push(format!(
-                "edge_chaos @ {nodes} nodes: payloads diverged from the 1-node baseline"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_chaos @ {nodes} nodes: payloads byte-identical"
-            ));
-        }
-    }
-    // E20: the workload hit rate must strictly increase with graph
-    // clustering — clustered neighbourhoods keep random-walk revisits
-    // inside the bounded LRU; if the curve flattens, the cache stopped
-    // converting locality into hits. The modelled p99 must also stay
-    // under the deadline each record carries.
-    let mut workload_rows: Vec<(f64, f64)> = cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("smallworld_modelled"))
-        .map(|r| {
-            (
-                r["clustering"].as_f64().unwrap_or(0.0),
-                r["hit_rate"].as_f64().unwrap_or(0.0),
-            )
-        })
-        .collect();
-    workload_rows.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for pair in workload_rows.windows(2) {
-        let ((c0, h0), (c1, h1)) = (pair[0], pair[1]);
-        if h1 <= h0 {
-            bad.push(format!(
-                "smallworld_modelled: hit rate must strictly increase with clustering \
-                 (C {c0:.3}: {h0:.3} -> C {c1:.3}: {h1:.3})"
-            ));
-        } else {
-            ok.push(format!(
-                "smallworld_modelled: hit rate {h0:.3} @ C {c0:.3} < {h1:.3} @ C {c1:.3}"
-            ));
-        }
-    }
-    for row in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("smallworld_modelled"))
-    {
-        let clustering = row["clustering"].as_f64().unwrap_or(0.0);
-        let p99 = row["p99_ms"].as_f64().unwrap_or(f64::MAX);
-        let deadline = row["deadline_ms"].as_f64().unwrap_or(0.0);
-        if p99 > deadline {
-            bad.push(format!(
-                "smallworld_modelled @ C {clustering:.3}: modelled p99 {p99:.3} ms \
-                 over the {deadline:.0} ms deadline"
-            ));
-        } else {
-            ok.push(format!(
-                "smallworld_modelled @ C {clustering:.3}: p99 {p99:.3} ms under \
-                 {deadline:.0} ms"
-            ));
-        }
-    }
-    // E20 determinism: every witness bit must hold.
-    for det in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("workload_determinism"))
-    {
-        for (field, what) in [
-            ("trace_match", "trace digests"),
-            ("response_match", "response digests"),
-            ("cross_target_identical", "cross-topology payloads"),
-        ] {
-            if det[field].as_bool() != Some(true) {
-                bad.push(format!("workload_determinism: {what} diverged"));
-            } else {
-                ok.push(format!("workload_determinism: {what} agree"));
-            }
-        }
-    }
-    // E21 failover: an owner kill may never lose a response or change a
-    // byte; with replicas it must also cost zero regenerations, and the
-    // unreplicated control must pay at least one — otherwise the gate
-    // would pass vacuously on a cluster that never replicated at all.
-    for res in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("edge_resilience"))
-    {
-        let replication = res["replication"].as_u64().unwrap_or(0);
-        let lost = res["lost"].as_u64().unwrap_or(u64::MAX);
-        let regen = res["regenerations"].as_u64().unwrap_or(u64::MAX);
-        let hits = res["replica_hits"].as_u64().unwrap_or(0);
-        if lost != 0 {
-            bad.push(format!(
-                "edge_resilience @ replication {replication}: {lost} lost responses"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_resilience @ replication {replication}: zero lost responses"
-            ));
-        }
-        if res["byte_identical"].as_bool() != Some(true) {
-            bad.push(format!(
-                "edge_resilience @ replication {replication}: payloads diverged \
-                 from the owner's bytes"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_resilience @ replication {replication}: payloads byte-identical"
-            ));
-        }
-        if replication >= 2 {
-            if regen != 0 {
-                bad.push(format!(
-                    "edge_resilience @ replication {replication}: owner kill cost \
-                     {regen} regenerations (replicas must absorb it)"
-                ));
-            } else {
-                ok.push(format!(
-                    "edge_resilience @ replication {replication}: zero regenerations"
-                ));
-            }
-            if hits == 0 {
-                bad.push(format!(
-                    "edge_resilience @ replication {replication}: no replica hits — \
-                     the failover never touched a replica"
-                ));
-            } else {
-                ok.push(format!(
-                    "edge_resilience @ replication {replication}: {hits} replica hits"
-                ));
-            }
-        } else if regen == 0 {
-            bad.push(format!(
-                "edge_resilience @ replication {replication}: the unreplicated \
-                 control did not re-render — the contrast is vacuous"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_resilience @ replication {replication}: control re-rendered \
-                 {regen} time(s)"
-            ));
-        }
-    }
-    // E21 partition: noticed, healed in bound, replayed bit-for-bit.
-    for part in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("gossip_partition"))
-    {
-        let nodes = part["nodes"].as_u64().unwrap_or(0);
-        let rounds = part["rounds_to_heal"].as_u64().unwrap_or(u64::MAX);
-        let bound = part["bound"].as_u64().unwrap_or(0);
-        for (field, what) in [
-            ("diverged", "the partition was never noticed"),
-            ("converged", "the heal never converged"),
-            ("deterministic", "the heal did not replay deterministically"),
-        ] {
-            if part[field].as_bool() != Some(true) {
-                bad.push(format!("gossip_partition @ {nodes} nodes: {what}"));
-            } else {
-                ok.push(format!("gossip_partition @ {nodes} nodes: {field}"));
-            }
-        }
-        if rounds > bound {
-            bad.push(format!(
-                "gossip_partition @ {nodes} nodes: healed in {rounds} rounds, \
-                 over the {bound}-round bound"
-            ));
-        } else {
-            ok.push(format!(
-                "gossip_partition @ {nodes} nodes: healed in {rounds}/{bound} rounds"
-            ));
-        }
-    }
-    for headline in [
-        "kernel_speedup_batch8",
-        "serving_speedup_batch8",
-        "transport_h3_speedup",
-    ] {
-        let speedup = current["summary"][headline].as_f64().unwrap_or(0.0);
-        if speedup < SPEEDUP_FLOOR {
-            bad.push(format!(
-                "summary.{headline}: {speedup:.2}x below the {SPEEDUP_FLOOR}x floor"
-            ));
-        } else {
-            ok.push(format!("summary.{headline}: {speedup:.2}x"));
-        }
-    }
+    let gates = crate::gate::evaluate(cur_records, Some(&current["summary"]));
+    ok.extend(gates.passed);
+    bad.extend(gates.failed);
     if bad.is_empty() {
         Ok(ok)
     } else {
@@ -1093,7 +879,9 @@ mod tests {
         );
         let failures = compare(&base, &cur, 0.99).expect_err("floor must bind");
         assert!(
-            failures.iter().any(|f| f.contains("below the 1.5x floor")),
+            failures
+                .iter()
+                .any(|f| f.contains("kernel_speedup_batch8 1.25 below 1.5")),
             "{failures:?}"
         );
     }
@@ -1120,7 +908,34 @@ mod tests {
         );
         let failures = compare(&base, &cur, 0.10).expect_err("allocation must fail");
         assert!(
-            failures.iter().any(|f| f.contains("4096 fresh pool bytes")),
+            failures
+                .iter()
+                .any(|f| f.contains("alloc_bytes_steady = 4096")),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn steady_state_allocation_fails_on_a_record_the_baseline_lacks() {
+        let base = report();
+        let mut cur = report();
+        let Value::Object(fields) = &mut cur else {
+            unreachable!("a report is an object")
+        };
+        let Some(Value::Array(records)) = fields.get_mut("records") else {
+            unreachable!("a report has records")
+        };
+        records.push(Value::object([
+            ("experiment", Value::from("new_experiment")),
+            ("kernel_tiles", Value::from(1usize)),
+            ("modelled_qps", Value::from(0.0)),
+            ("alloc_bytes_steady", Value::from(4096usize)),
+        ]));
+        let failures = compare(&base, &cur, 0.10).expect_err("allocation must fail");
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("new_experiment") && f.contains("alloc_bytes_steady = 4096")),
             "{failures:?}"
         );
     }
@@ -1149,7 +964,7 @@ mod tests {
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("h3") && f.contains("missing")),
+                .any(|f| f.contains("transport=h3") && f.contains("missing")),
             "{failures:?}"
         );
         assert!(
@@ -1296,7 +1111,7 @@ mod tests {
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("cross-topology payloads diverged")),
+                .any(|f| f.contains("payloads depend on topology")),
             "{failures:?}"
         );
     }
@@ -1329,14 +1144,16 @@ mod tests {
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("3 regenerations") && f.contains("replicas must absorb")),
+                .any(|f| f.contains("regenerations = 3") && f.contains("replicas must absorb")),
             "{failures:?}"
         );
         // ... and one that never touched a replica at all.
         res.failover[1] = fake_failover(2, 0, 0);
         let failures = compare(&base, &report_with_res(&res), 0.99).expect_err("no hits must fail");
         assert!(
-            failures.iter().any(|f| f.contains("no replica hits")),
+            failures
+                .iter()
+                .any(|f| f.contains("replica_hits 0 below 1")),
             "{failures:?}"
         );
     }
@@ -1378,7 +1195,7 @@ mod tests {
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("over the 24-round bound")),
+                .any(|f| f.contains("rounds_to_heal 25 over the bound 24")),
             "{failures:?}"
         );
     }
@@ -1389,7 +1206,7 @@ mod tests {
         let cur = report_with(&fake_edges(), &fake_chaos(3, false));
         let failures = compare(&base, &cur, 0.99).expect_err("chaos losses must fail");
         assert!(
-            failures.iter().any(|f| f.contains("3 lost responses")),
+            failures.iter().any(|f| f.contains("lost = 3, must be 0")),
             "{failures:?}"
         );
         assert!(

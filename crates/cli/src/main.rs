@@ -50,13 +50,11 @@
 //! documented in PERFORMANCE.md); tables go to stderr so `--out -`-less
 //! stdout stays parseable. `bench-compare` gates a fresh report against
 //! a checked-in baseline and exits non-zero on a modelled-throughput
-//! regression, a missing record, a headline speedup under 1.5x, any
-//! steady-state pool allocation, a non-increasing E19 hit rate, a lossy
-//! E19 node-kill, a non-monotone E20 hit-rate-vs-clustering curve, an
-//! E20 modelled p99 over its deadline, an E20 replay-determinism
-//! failure, an E21 replicated failover that lost a response or paid a
-//! regeneration (or an unreplicated control that did not), or an E21
-//! gossip partition that failed to heal within its round bound.
+//! regression, a missing record, or any violated invariant in the gate
+//! table `sww_bench::gate::GATES` (headline speedups, steady-state
+//! allocation, E19–E21 monotonicity, loss, determinism and heal
+//! bounds). `bench-cluster` and `bench-workload` run the same table over
+//! their own records.
 //!
 //! `--deadline-ms MS` gives every request that carries no
 //! `x-sww-deadline-ms` header a deadline budget: expiry answers `504`,
@@ -662,8 +660,10 @@ fn cmd_bench_pr6(args: &Args) {
     let serving_tiles: Vec<usize> = if widest > 1 { vec![1, widest] } else { vec![1] };
     let serving_samples = kernel::serving_sweep(scfg, &serving_tiles);
     eprintln!("{}", kernel::serving_table(scfg, &serving_samples).render());
-    // E18 last: its latency chaos spec is process-global, so it must not
-    // overlap the kernel sweeps (run_with_latency installs and clears it).
+    // E18 after the kernel sweeps: its latency chaos spec is
+    // process-global, so it must not overlap them (run_with_latency
+    // installs and clears it). E19's node kill does the same; E20 and E21
+    // run with no spec installed.
     let tcfg = transport::TransportConfig::default();
     let trun = transport::run_with_latency(tcfg);
     eprintln!("{}", transport::table(tcfg, &trun).render());
@@ -673,11 +673,7 @@ fn cmd_bench_pr6(args: &Args) {
     let ecfg = edge::EdgeClusterConfig::default();
     let edge_samples = edge::run(&ecfg);
     eprintln!("{}", edge::table(&ecfg, &edge_samples).render());
-    let chaos_spec = sww_core::ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10")
-        .expect("E19 chaos spec");
-    sww_core::faults::install(&chaos_spec);
-    let chaos = edge::chaos_kill(&ecfg);
-    sww_core::faults::clear();
+    let chaos = edge::chaos_kill_with_latency(&ecfg);
     eprintln!("{}", edge::chaos_table(&chaos).render());
     // E20: the small-world workload sweep — modelled rows at full scale,
     // live replays through single node / h3 / the edge ring, and the
@@ -691,10 +687,6 @@ fn cmd_bench_pr6(args: &Args) {
     let workload_live = workload::live_sweep(&wcfg, &workload::live_targets(&wcfg));
     eprintln!("{}", workload::live_table(&wcfg, &workload_live).render());
     let determinism = workload::determinism_check(&wcfg, &workload_live);
-    let live_clustering = wcfg
-        .workload(wcfg.live_beta, wcfg.live_requests)
-        .site_graph()
-        .clustering_coefficient();
     // E21: the owner-kill failover at every replication level, then the
     // gossip partition-heal witness — fully deterministic, no chaos spec
     // needed (the kill and the partition are the faults).
@@ -719,7 +711,7 @@ fn cmd_bench_pr6(args: &Args) {
             cfg: &wcfg,
             modelled: &workload_rows,
             live: &workload_live,
-            live_clustering,
+            live_clustering: wcfg.live_clustering(),
             determinism: &determinism,
         },
         report::ResilienceSection {
@@ -741,13 +733,12 @@ fn cmd_bench_pr6(args: &Args) {
 /// With `--chaos` the caller's spec drives the fault layer for the whole
 /// run; otherwise the kill scenario installs its own deterministic
 /// generation latency. With `--replication N` (N ≥ 2) the E21 failover
-/// and partition scenarios run too. Exits non-zero when the node-kill
-/// loses a response, diverges from the 1-node baseline byte-wise, the
-/// global hit rate fails to strictly increase with node count, the
-/// replicated failover pays a regeneration (or the unreplicated control
-/// pays none), or the gossip partition misses its heal bound.
+/// and partition scenarios run too. The records go through the report's
+/// gate table (`sww_bench::gate`), so this exits non-zero on exactly
+/// the E19/E21 violations `bench-compare` would flag.
 fn cmd_bench_cluster(args: &Args) {
     use sww_bench::experiments::{edge, resilience};
+    use sww_bench::report::{EdgeSection, ResilienceSection};
     let cfg = edge::EdgeClusterConfig {
         node_counts: args
             .opt("nodes", "1,2,4")
@@ -766,32 +757,20 @@ fn cmd_bench_cluster(args: &Args) {
     let samples = edge::run(&cfg);
     println!("{}", edge::table(&cfg, &samples).render());
     println!("{}", edge::modelled_table(&cfg).render());
-    if !caller_chaos {
-        let spec = sww_core::ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10")
-            .expect("E19 chaos spec");
-        sww_core::faults::install(&spec);
-    }
-    let chaos = edge::chaos_kill(&cfg);
-    sww_core::faults::clear();
+    let chaos = if caller_chaos {
+        let outcome = edge::chaos_kill(&cfg);
+        sww_core::faults::clear();
+        outcome
+    } else {
+        edge::chaos_kill_with_latency(&cfg)
+    };
     println!("{}", edge::chaos_table(&chaos).render());
-    let mut failed = false;
-    for pair in samples.windows(2) {
-        if pair[1].hit_rate <= pair[0].hit_rate {
-            eprintln!(
-                "FAIL: hit rate must strictly increase with nodes ({} -> {})",
-                pair[0].nodes, pair[1].nodes
-            );
-            failed = true;
-        }
+    let mut records = EdgeSection {
+        cfg: &cfg,
+        sweep: &samples,
+        chaos: &chaos,
     }
-    if chaos.lost != 0 {
-        eprintln!("FAIL: node-kill lost {} responses", chaos.lost);
-        failed = true;
-    }
-    if !chaos.byte_identical {
-        eprintln!("FAIL: failover payloads diverged from the 1-node baseline");
-        failed = true;
-    }
+    .records();
     // E21, opt-in via --replication N (N ≥ 2): hot-key replication
     // failover at 1 and N copies, plus the gossip partition heal.
     let replication: usize = args.opt("replication", "1").parse().unwrap_or(1).max(1);
@@ -804,49 +783,17 @@ fn cmd_bench_cluster(args: &Args) {
         };
         let failover = resilience::failover_sweep(&rcfg);
         println!("{}", resilience::failover_table(&rcfg, &failover).render());
-        for o in &failover {
-            if o.lost != 0 || !o.byte_identical {
-                eprintln!(
-                    "FAIL: replication {} failover lost {} responses (byte-identical: {})",
-                    o.replication, o.lost, o.byte_identical
-                );
-                failed = true;
-            }
-            if o.replication >= 2 && (o.regenerations != 0 || o.replica_hits == 0) {
-                eprintln!(
-                    "FAIL: replication {} failover cost {} regenerations, {} replica hits \
-                     (replicas must absorb the kill)",
-                    o.replication, o.regenerations, o.replica_hits
-                );
-                failed = true;
-            }
-            if o.replication == 1 && o.regenerations == 0 {
-                eprintln!("FAIL: the unreplicated control did not re-render — vacuous contrast");
-                failed = true;
-            }
-        }
         let partition = resilience::partition_heal(&rcfg);
         println!("{}", resilience::partition_table(&partition).render());
-        if !partition.diverged
-            || !partition.converged
-            || !partition.deterministic
-            || partition.rounds_to_heal > partition.bound
-        {
-            eprintln!(
-                "FAIL: gossip partition heal (diverged: {}, converged: {}, deterministic: {}, \
-                 {}/{} rounds)",
-                partition.diverged,
-                partition.converged,
-                partition.deterministic,
-                partition.rounds_to_heal,
-                partition.bound
-            );
-            failed = true;
-        }
+        records.extend(
+            ResilienceSection {
+                failover: &failover,
+                partition: &partition,
+            }
+            .records(),
+        );
     }
-    if failed {
-        std::process::exit(1);
-    }
+    print_verdict(sww_bench::gate::evaluate(&records, None).into_result());
     println!(
         "node-kill ({}): {} failovers, {} retries, zero lost, payloads byte-identical",
         chaos.killed, chaos.failovers, chaos.retries
@@ -930,16 +877,15 @@ fn e20_config_from(args: &Args) -> sww_bench::experiments::workload::E20Config {
 
 /// Run the E20 small-world workload harness: the modelled sweep over
 /// every `--betas` entry, the live trace replays, and the
-/// replay-determinism check. Exits non-zero when `slo_failures` reports
-/// any gate violation (non-monotone hit rate vs clustering, modelled
-/// p99 over the deadline, or replay nondeterminism).
+/// replay-determinism check. The records go through the report's gate
+/// table (`sww_bench::gate`), so this exits non-zero on exactly the E20
+/// violations `bench-compare` would flag: a hit rate that does not rise
+/// with graph clustering, a modelled p99 over the deadline, or replay
+/// nondeterminism.
 fn cmd_bench_workload(args: &Args) {
     use sww_bench::experiments::workload;
     use sww_workload::replay::ReplayTarget;
-    let chaos = args.options.contains_key("chaos");
-    if chaos {
-        install_chaos(args);
-    }
+    install_chaos(args);
     let cfg = e20_config_from(args);
     let rows = workload::modelled_sweep(&cfg);
     println!("{}", workload::modelled_table(&cfg, &rows).render());
@@ -958,27 +904,15 @@ fn cmd_bench_workload(args: &Args) {
     let live = workload::live_sweep(&cfg, &targets);
     println!("{}", workload::live_table(&cfg, &live).render());
     let det = workload::determinism_check(&cfg, &live);
-    println!(
-        "replay determinism: trace {}, responses {}, cross-topology {}",
-        if det.trace_match { "match" } else { "DIVERGED" },
-        if det.response_match {
-            "match"
-        } else {
-            "DIVERGED"
-        },
-        if det.cross_target_identical {
-            "identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    let failures = workload::slo_failures(&cfg, &rows, &det);
-    if !failures.is_empty() {
-        for line in &failures {
-            eprintln!("FAIL: {line}");
-        }
-        std::process::exit(1);
+    let records = sww_bench::report::WorkloadSection {
+        cfg: &cfg,
+        modelled: &rows,
+        live: &live,
+        live_clustering: cfg.live_clustering(),
+        determinism: &det,
     }
+    .records();
+    print_verdict(sww_bench::gate::evaluate(&records, None).into_result());
     println!(
         "workload SLO gates passed ({} modelled rows, {} live replays)",
         rows.len(),
@@ -998,12 +932,22 @@ fn cmd_bench_compare(args: &Args) {
         let text = std::fs::read_to_string(path).unwrap_or_else(|err| panic!("read {path}: {err}"));
         sww_json::parse(&text).unwrap_or_else(|err| panic!("parse {path}: {err:?}"))
     };
-    match sww_bench::report::compare(&load(base_path), &load(cur_path), tolerance) {
+    print_verdict(sww_bench::report::compare(
+        &load(base_path),
+        &load(cur_path),
+        tolerance,
+    ));
+    println!("bench gate passed ({cur_path} vs {base_path})");
+}
+
+/// Print a gate verdict — passing checks to stdout, failures to stderr —
+/// and exit 1 if anything failed.
+fn print_verdict(verdict: Result<Vec<String>, Vec<String>>) {
+    match verdict {
         Ok(checks) => {
             for line in checks {
                 println!("ok: {line}");
             }
-            println!("bench gate passed ({cur_path} vs {base_path})");
         }
         Err(failures) => {
             for line in failures {

@@ -349,11 +349,7 @@ impl BatchScheduler {
         let t = self.tallies.lock().unwrap_or_else(|e| e.into_inner());
         let mut waits = t.waits_s.clone();
         waits.sort_by(|a, b| a.total_cmp(b));
-        let p99 = if waits.is_empty() {
-            0.0
-        } else {
-            waits[((waits.len() as f64 * 0.99).ceil() as usize).min(waits.len()) - 1]
-        };
+        let p99 = sww_obs::percentile(&waits, 99.0);
         BatchStats {
             jobs: t.jobs,
             batches: t.batches,

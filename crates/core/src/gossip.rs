@@ -56,7 +56,7 @@
 //! [`set_process_alive`]: Gossip::set_process_alive
 //! [`set_partition`]: Gossip::set_partition
 
-use crate::faults::{self, FaultAction, FaultSite};
+use crate::faults::{self, splitmix64, FaultAction, FaultSite};
 use std::collections::BTreeMap;
 
 /// One member's health, as recorded in some observer's view.
@@ -577,14 +577,6 @@ impl Gossip {
         };
         self.admit(observer, target, accused);
     }
-}
-
-/// SplitMix64 — same mixer the fault registry uses: pure, stateless.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Deterministic probe-schedule draw from `(seed, round, member, salt)`.

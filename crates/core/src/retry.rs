@@ -14,6 +14,7 @@
 //! invariants `crates/core/tests/proptest_retry.rs` checks for arbitrary
 //! configurations.
 
+use crate::faults::splitmix64;
 use std::time::Duration;
 
 /// How a client retries transient failures.
@@ -119,13 +120,6 @@ impl BackoffSchedule {
     pub fn retries(&self) -> u32 {
         self.retries_planned
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn unit(x: u64) -> f64 {

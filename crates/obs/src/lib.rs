@@ -86,3 +86,32 @@ pub fn render() -> String {
 pub fn reset() {
     Registry::global().reset();
 }
+
+/// Nearest-rank percentile of an ascending-sorted sample: the value at
+/// rank `⌈pct/100 · n⌉` (at least the first), or `T::default()` for an
+/// empty sample. The one percentile every latency summary in the
+/// workspace reports — bench sweeps, replay scorecards, the modelled
+/// queue, and the batch scheduler's wait p99.
+pub fn percentile<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let us = [1000u64, 2000, 3000, 4000, 100_000];
+        assert_eq!(percentile(&us, 50.0), 3000);
+        assert_eq!(percentile(&us, 99.0), 100_000);
+        assert_eq!(percentile(&us, 0.0), 1000, "rank clamps to the first");
+        let ms = [1.0, 2.0, 3.0, 4.0, 100.0];
+        assert_eq!(percentile(&ms, 50.0), 3.0);
+        assert_eq!(percentile::<f64>(&[], 99.0), 0.0);
+    }
+}

@@ -14,6 +14,7 @@
 pub mod arrival;
 pub mod article;
 pub mod blog;
+mod fnv;
 pub mod graph;
 pub mod media_classes;
 pub mod popularity;

@@ -26,6 +26,7 @@
 //! numbers (p99 vs deadline, sustained qps) scale to millions of
 //! requests deterministically.
 
+use crate::fnv::Fnv;
 use crate::scorecard::{LifecycleSnapshot, Scorecard};
 use crate::session::ability_for;
 use crate::trace::{Trace, TraceEvent, WorkloadConfig};
@@ -118,15 +119,6 @@ struct EventResult {
     retries: u64,
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Statuses worth a retry hop. Delegates to the protocol layer's single
 /// retryability predicate so the replayer, the client retry policy, and
 /// the edge successor walk cannot drift apart (this retired a local
@@ -195,15 +187,11 @@ impl ReplayEngine {
     ) -> ReplayOutcome {
         results.sort_by_key(|r| r.seq);
         let mut card = Scorecard::new(rcfg.target.label());
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mix = |x: u64, h: &mut u64| {
-            *h ^= x;
-            *h = h.wrapping_mul(0x1000_0000_01b3);
-        };
+        let mut digest = Fnv::new();
         for r in &results {
-            mix(r.seq, &mut digest);
-            mix(u64::from(r.status), &mut digest);
-            mix(r.body_digest, &mut digest);
+            digest.word(r.seq);
+            digest.word(u64::from(r.status));
+            digest.word(r.body_digest);
             card.record(r.status, r.wall_us);
             card.add_retries(r.retries);
         }
@@ -224,7 +212,7 @@ impl ReplayEngine {
         ReplayOutcome {
             scorecard: card,
             trace_digest: self.trace.digest(),
-            response_digest: digest,
+            response_digest: digest.finish(),
             generations,
             coalesced,
             naive_requests,
@@ -309,7 +297,7 @@ impl ReplayEngine {
                         out.push(EventResult {
                             seq: e.seq,
                             status: resp.status,
-                            body_digest: fnv(&resp.body),
+                            body_digest: Fnv::of_bytes(&resp.body),
                             wall_us: t0.elapsed().as_micros() as u64,
                             retries,
                         });
@@ -398,7 +386,7 @@ impl ReplayEngine {
                     results.push(EventResult {
                         seq: e.seq,
                         status: resp.status,
-                        body_digest: fnv(&resp.body),
+                        body_digest: Fnv::of_bytes(&resp.body),
                         wall_us: t0.elapsed().as_micros() as u64,
                         retries,
                     });
@@ -423,7 +411,7 @@ impl ReplayEngine {
                     results.push(EventResult {
                         seq: e.seq,
                         status: resp.status,
-                        body_digest: fnv(&resp.body),
+                        body_digest: Fnv::of_bytes(&resp.body),
                         wall_us: t0.elapsed().as_micros() as u64,
                         retries,
                     });
@@ -561,7 +549,7 @@ pub fn modelled_slo(cfg: &WorkloadConfig, nodes: usize, cache_capacity: usize) -
         hits as f64 / trace.events().len() as f64
     };
     sojourn_ms.sort_by(|a, b| a.total_cmp(b));
-    let p99 = percentile(&sojourn_ms, 99.0);
+    let p99 = sww_obs::percentile(&sojourn_ms, 99.0);
     let mean = if sojourn_ms.is_empty() {
         0.0
     } else {
@@ -575,14 +563,6 @@ pub fn modelled_slo(cfg: &WorkloadConfig, nodes: usize, cache_capacity: usize) -
         p99_ms: p99,
         mean_ms: mean,
     }
-}
-
-fn percentile(sorted: &[f64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]

@@ -144,22 +144,14 @@ impl Scorecard {
         self.sorted_us.sort_unstable();
     }
 
-    fn percentile_us(&self, pct: f64) -> u64 {
-        if self.sorted_us.is_empty() {
-            return 0;
-        }
-        let rank = ((pct / 100.0) * self.sorted_us.len() as f64).ceil() as usize;
-        self.sorted_us[rank.clamp(1, self.sorted_us.len()) - 1]
-    }
-
     /// Median wall latency in milliseconds.
     pub fn p50_ms(&self) -> f64 {
-        self.percentile_us(50.0) as f64 / 1000.0
+        sww_obs::percentile(&self.sorted_us, 50.0) as f64 / 1000.0
     }
 
     /// 99th-percentile wall latency in milliseconds.
     pub fn p99_ms(&self) -> f64 {
-        self.percentile_us(99.0) as f64 / 1000.0
+        sww_obs::percentile(&self.sorted_us, 99.0) as f64 / 1000.0
     }
 
     /// Sustained wall-clock request rate.
@@ -228,17 +220,6 @@ mod tests {
         );
         assert!((s.ok_rate() - 0.6).abs() < 1e-9);
         assert!((s.qps() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let mut s = Scorecard::new("t");
-        for us in [1000u64, 2000, 3000, 4000, 100_000] {
-            s.record(200, us);
-        }
-        s.finish(1.0);
-        assert!((s.p50_ms() - 3.0).abs() < 1e-9);
-        assert!((s.p99_ms() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! scales the same generator to millions of requests of virtual time.
 
 use crate::arrival::DiurnalModel;
+use crate::fnv::Fnv;
 use crate::graph::{SiteGraph, SmallWorldConfig};
 use crate::popularity::Zipf;
 use crate::session::{random_walk, ProfileMix, WalkConfig};
@@ -231,23 +232,19 @@ impl Trace {
 
     /// FNV-1a digest over every event field — the bit-identity witness.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
+        let mut h = Fnv::new();
         for e in &self.events {
-            mix(e.seq);
-            mix(e.vtime_ms);
-            mix(e.user);
-            mix(e.node as u64);
-            mix(match e.device {
+            h.word(e.seq);
+            h.word(e.vtime_ms);
+            h.word(e.user);
+            h.word(e.node as u64);
+            h.word(match e.device {
                 DeviceKind::Laptop => 0,
                 DeviceKind::Workstation => 1,
                 DeviceKind::Mobile => 2,
             });
         }
-        h
+        h.finish()
     }
 }
 
